@@ -7,7 +7,7 @@
 //! ```
 //!
 //! For each design scale the bench builds C1 at that scale, simulates a
-//! W1 toggle trace, and embeds the whole trace four ways:
+//! W1 toggle trace, and embeds the whole trace three ways:
 //!
 //! * **per_cycle** — the seed hot path, reproduced verbatim in
 //!   [`seed_path`]: the scalar zero-skipping matmul kernel, one forward
@@ -21,33 +21,29 @@
 //! * **scalar_batched** — the same batched path with the kernel dispatch
 //!   pinned to the scalar fallback, isolating the SIMD micro-kernels'
 //!   contribution as `simd_speedup` (an in-run ratio, so the CI gate
-//!   compares like with like on whatever machine runs it);
-//! * **f32** — the batched path through the reduced-precision encoder
-//!   ([`Precision::F32`]), gated on accuracy (`f32_max_rel_delta` against
-//!   the f64 embeddings, tolerance [`atlas_nn::F32_EMBED_TOLERANCE`])
-//!   rather than bit parity.
+//!   compares like with like on whatever machine runs it).
 //!
-//! The f64 arms produce bit-identical embeddings (checked, reported as
+//! All three arms produce bit-identical embeddings (checked, reported as
 //! `parity`/`scalar_parity` — seed, batched, and scalar-batched forwards
 //! are the same dot-product sequence per output element); the bench
 //! measures throughput in embedded trace cycles per second. The `gate`
 //! object repeats the `--gate-scale` row with flat numeric field names
 //! for the CI regression gate (`scripts/check_bench.rs --infer`), and the
-//! report's `isa`/`kernel`/`f32_kernel` fields record what the dispatch
-//! actually selected on the benchmarking machine.
+//! report's `isa`/`kernel` fields record what the dispatch actually
+//! selected on the benchmarking machine.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use atlas_core::features::{build_submodule_data, side_features, SubmoduleData};
 use atlas_core::finetune::{MemoryModel, PowerHeads};
-use atlas_core::{AtlasModel, EmbeddingTable, Precision};
+use atlas_core::{AtlasModel, Precision};
 use atlas_designs::DesignConfig;
 use atlas_gbdt::{Gbdt, GbdtConfig};
 use atlas_liberty::Library;
 use atlas_netlist::Design;
 use atlas_nn::simd::{self, KernelLevel};
-use atlas_nn::{EncoderConfig, EncoderState, GraphEncoder, Matrix, SparseAdj, F32_EMBED_TOLERANCE};
+use atlas_nn::{EncoderConfig, EncoderState, GraphEncoder, Matrix, SparseAdj};
 use atlas_sim::{simulate, PhasedWorkload, ToggleTrace};
 use serde::Serialize;
 
@@ -339,17 +335,12 @@ struct ScaleRow {
     per_cycle: Arm,
     batched: Arm,
     scalar_batched: Arm,
-    f32: Arm,
     /// `batched.cycles_per_s / per_cycle.cycles_per_s`.
     speedup: f64,
     /// `batched.cycles_per_s / scalar_batched.cycles_per_s` — the SIMD
     /// micro-kernels' in-run contribution.
     simd_speedup: f64,
-    /// `f32.cycles_per_s / batched.cycles_per_s`.
-    f32_speedup: f64,
-    /// Largest `|f32 − f64| / (1 + |f64|)` over every embedding element.
-    f32_max_rel_delta: f64,
-    /// Whether batched f64 embeddings are bit-identical to the seed path
+    /// Whether batched embeddings are bit-identical to the seed path
     /// (must be true).
     parity: bool,
     /// Whether scalar-batched embeddings are bit-identical to the seed
@@ -372,12 +363,6 @@ struct GateRow {
     /// 1 when the dispatch selected a SIMD kernel level, 0 when the
     /// scalar fallback ran (no AVX2, or `ATLAS_FORCE_SCALAR`).
     simd_active: u32,
-    /// Largest f32-vs-f64 relative embedding delta at the gate scale.
-    f32_max_rel_delta: f64,
-    /// The accuracy bound `f32_max_rel_delta` is gated against
-    /// ([`atlas_nn::F32_EMBED_TOLERANCE`], written out so the gate script
-    /// needs no shared constant).
-    f32_tolerance: f64,
     parity: bool,
 }
 
@@ -388,40 +373,10 @@ struct Report {
     reps: usize,
     /// ISA level runtime feature detection found on this machine.
     isa: String,
-    /// f64 kernel variant the dispatch selected.
+    /// Kernel variant the dispatch selected.
     kernel: String,
-    /// f32 kernel variant the dispatch selected.
-    f32_kernel: String,
     scales: Vec<ScaleRow>,
     gate: GateRow,
-}
-
-/// Bit-exact comparison of a batched f64 embedding table against the
-/// seed path's rows (an f32 table never matches — the arms that demand
-/// parity run at f64).
-fn table_matches_f64(table: &EmbeddingTable, baseline: &[Vec<f64>]) -> bool {
-    match table {
-        EmbeddingTable::F64(rows) => rows.as_slice() == baseline,
-        EmbeddingTable::F32(_) => false,
-    }
-}
-
-/// Largest `|a − b| / (1 + |b|)` between an f32 embedding table and the
-/// f64 baseline rows — the accuracy metric the f32 path is gated on.
-fn max_rel_delta_f32(table: &EmbeddingTable, baseline: &[Vec<f64>]) -> f64 {
-    let EmbeddingTable::F32(rows) = table else {
-        return f64::INFINITY;
-    };
-    let mut worst = 0.0f64;
-    for (row, base) in rows.iter().zip(baseline) {
-        if row.len() != base.len() {
-            return f64::INFINITY;
-        }
-        for (&a, &b) in row.iter().zip(base) {
-            worst = worst.max((a as f64 - b).abs() / (1.0 + b.abs()));
-        }
-    }
-    worst
 }
 
 fn bench_scale(
@@ -437,8 +392,7 @@ fn bench_scale(
         .map_err(|e| format!("simulate: {e}"))?;
     let data = build_submodule_data(&gate, lib);
     let encoder = seed_path::SeedEncoder::new(model.encoder());
-    let prepared_f64 = model.prepare(Precision::F64);
-    let prepared_f32 = model.prepare(Precision::F32);
+    let prepared = model.prepare(Precision::F64);
 
     // The arms alternate within each rep so machine noise (a shared host,
     // frequency scaling) hits all equally; best-of-reps per arm.
@@ -448,34 +402,25 @@ fn bench_scale(
     let mut batched_out = None;
     let mut scalar_wall = f64::MAX;
     let mut scalar_out = None;
-    let mut f32_wall = f64::MAX;
-    let mut f32_out = None;
     for _ in 0..reps {
         let t0 = Instant::now();
         per_cycle_out = embed_per_cycle(&encoder, &gate, lib, &data, &trace, threads);
         per_cycle_wall = per_cycle_wall.min(t0.elapsed().as_secs_f64());
 
         let t1 = Instant::now();
-        batched_out =
-            Some(model.embed_trace_with(&prepared_f64, &gate, lib, &data, &trace, threads));
+        batched_out = Some(model.embed_trace_with(&prepared, &gate, lib, &data, &trace, threads));
         batched_wall = batched_wall.min(t1.elapsed().as_secs_f64());
 
         // Same path, dispatch pinned to the scalar fallback: the SIMD
         // kernels' isolated contribution, measured in this very run.
         let prev = simd::set_kernel(KernelLevel::Scalar).map_err(|e| e.to_string())?;
         let t2 = Instant::now();
-        scalar_out =
-            Some(model.embed_trace_with(&prepared_f64, &gate, lib, &data, &trace, threads));
+        scalar_out = Some(model.embed_trace_with(&prepared, &gate, lib, &data, &trace, threads));
         scalar_wall = scalar_wall.min(t2.elapsed().as_secs_f64());
         simd::set_kernel(prev).map_err(|e| e.to_string())?;
-
-        let t3 = Instant::now();
-        f32_out = Some(model.embed_trace_with(&prepared_f32, &gate, lib, &data, &trace, threads));
-        f32_wall = f32_wall.min(t3.elapsed().as_secs_f64());
     }
     let batched_out = batched_out.expect("reps >= 1");
     let scalar_out = scalar_out.expect("reps >= 1");
-    let f32_out = f32_out.expect("reps >= 1");
 
     let parity_with = |out: &atlas_core::TraceEmbeddings| {
         out.per_submodule().len() == per_cycle_out.len()
@@ -483,16 +428,10 @@ fn bench_scale(
                 .per_submodule()
                 .iter()
                 .zip(&per_cycle_out)
-                .all(|(sm, baseline)| table_matches_f64(&sm.embeddings, baseline))
+                .all(|(sm, baseline)| sm.embeddings == *baseline)
     };
     let parity = parity_with(&batched_out);
     let scalar_parity = parity_with(&scalar_out);
-    let f32_max_rel_delta = f32_out
-        .per_submodule()
-        .iter()
-        .zip(&per_cycle_out)
-        .map(|(sm, baseline)| max_rel_delta_f32(&sm.embeddings, baseline))
-        .fold(0.0f64, f64::max);
 
     let cps = |wall: f64| cycles as f64 / wall.max(1e-9);
     Ok(ScaleRow {
@@ -511,14 +450,8 @@ fn bench_scale(
             wall_s: scalar_wall,
             cycles_per_s: cps(scalar_wall),
         },
-        f32: Arm {
-            wall_s: f32_wall,
-            cycles_per_s: cps(f32_wall),
-        },
         speedup: per_cycle_wall / batched_wall.max(1e-9),
         simd_speedup: scalar_wall / batched_wall.max(1e-9),
-        f32_speedup: batched_wall / f32_wall.max(1e-9),
-        f32_max_rel_delta,
         parity,
         scalar_parity,
     })
@@ -545,10 +478,9 @@ fn main() -> ExitCode {
     let model = stub_model();
 
     println!(
-        "isa {} — f64 kernel {}, f32 kernel {}",
+        "isa {} — kernel {}",
         simd::isa_label(),
         simd::kernel_label(simd::active_kernel()),
-        simd::f32_kernel_label()
     );
 
     let mut rows = Vec::new();
@@ -557,8 +489,7 @@ fn main() -> ExitCode {
             Ok(row) => {
                 println!(
                     "scale {:.2}: {} submodules / {} cells — per-cycle {:.1} cyc/s, \
-                     batched {:.1} cyc/s ({:.2}x, parity {}), simd {:.2}x (scalar parity {}), \
-                     f32 {:.2}x (max rel delta {:.2e})",
+                     batched {:.1} cyc/s ({:.2}x, parity {}), simd {:.2}x (scalar parity {})",
                     row.scale,
                     row.submodules,
                     row.cells,
@@ -568,8 +499,6 @@ fn main() -> ExitCode {
                     row.parity,
                     row.simd_speedup,
                     row.scalar_parity,
-                    row.f32_speedup,
-                    row.f32_max_rel_delta,
                 );
                 rows.push(row);
             }
@@ -590,7 +519,6 @@ fn main() -> ExitCode {
         reps: args.reps,
         isa: simd::isa_label().to_owned(),
         kernel: simd::kernel_label(simd::active_kernel()).to_owned(),
-        f32_kernel: simd::f32_kernel_label().to_owned(),
         gate: GateRow {
             scale: gate_row.scale,
             per_cycle_cycles_per_s: gate_row.per_cycle.cycles_per_s,
@@ -598,17 +526,12 @@ fn main() -> ExitCode {
             speedup: gate_row.speedup,
             simd_speedup: gate_row.simd_speedup,
             simd_active: u32::from(simd::active_kernel() > KernelLevel::Scalar),
-            f32_max_rel_delta: gate_row.f32_max_rel_delta,
-            f32_tolerance: F32_EMBED_TOLERANCE,
             parity: gate_row.parity,
         },
         scales: rows,
     };
 
-    let any_parity_broken = report
-        .scales
-        .iter()
-        .any(|r| !r.parity || !r.scalar_parity || r.f32_max_rel_delta > F32_EMBED_TOLERANCE);
+    let any_parity_broken = report.scales.iter().any(|r| !r.parity || !r.scalar_parity);
     match serde_json::to_string_pretty(&report) {
         Ok(json) => {
             if let Err(e) = std::fs::write(&args.out, json) {
@@ -623,10 +546,7 @@ fn main() -> ExitCode {
         }
     }
     if any_parity_broken {
-        eprintln!(
-            "error: an arm diverged from the per-cycle path (f64 parity broken \
-             or f32 outside its {F32_EMBED_TOLERANCE:.0e} tolerance)"
-        );
+        eprintln!("error: an arm diverged from the per-cycle path (parity broken)");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

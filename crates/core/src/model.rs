@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use atlas_liberty::{Library, PowerGroup};
 use atlas_netlist::{Design, Stage};
-use atlas_nn::{EncoderState, InferenceEncoder, InferenceEncoderF32, Precision};
+use atlas_nn::{EncoderState, InferenceEncoder};
 use atlas_power::PowerTrace;
 use atlas_sim::ToggleTrace;
 use serde::{Deserialize, Serialize};
@@ -12,93 +12,18 @@ use serde::{Deserialize, Serialize};
 use crate::features::{build_submodule_data, SideFeatures, SideTable, SubmoduleData};
 use crate::finetune::PowerHeads;
 
-/// A frozen inference encoder at a chosen [`Precision`], built **once**
-/// per model load by [`AtlasModel::prepare`] (the f32 variant narrows
-/// every weight matrix at construction, not per forward) and reused for
-/// every trace embedded against that model.
-#[derive(Debug, Clone)]
-pub enum PreparedEncoder {
-    /// Full-precision evaluator — bit-parity guarantees.
-    F64(InferenceEncoder),
-    /// Reduced-precision evaluator — accuracy-delta guarantees
-    /// ([`atlas_nn::F32_EMBED_TOLERANCE`]), embeddings at half the bytes.
-    F32(InferenceEncoderF32),
+/// Numeric precision of inference. f64 is the only one; the type stays
+/// only as [`AtlasModel::prepare`]'s argument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Precision {
+    /// Full precision, with bit-parity guarantees.
+    F64,
 }
 
-impl PreparedEncoder {
-    /// The precision this encoder evaluates (and emits embeddings) at.
-    pub fn precision(&self) -> Precision {
-        match self {
-            PreparedEncoder::F64(_) => Precision::F64,
-            PreparedEncoder::F32(_) => Precision::F32,
-        }
-    }
-
-    /// Cycles per chunk of the batched forward for a graph of `nodes`
-    /// nodes (the f32 path fits up to twice as many in the same budget).
-    pub fn cycle_chunk(&self, nodes: usize) -> usize {
-        match self {
-            PreparedEncoder::F64(e) => e.cycle_chunk(nodes),
-            PreparedEncoder::F32(e) => e.cycle_chunk(nodes),
-        }
-    }
-}
-
-/// Per-cycle graph embeddings of one sub-module, stored at the precision
-/// they were computed at — f32 rows cost half the cache bytes of f64
-/// rows, which doubles what fits a byte-budgeted embedding cache.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum EmbeddingTable {
-    /// Full-precision rows (8 bytes per element).
-    F64(Vec<Vec<f64>>),
-    /// Reduced-precision rows (4 bytes per element).
-    F32(Vec<Vec<f32>>),
-}
-
-impl EmbeddingTable {
-    /// Number of cycles stored.
-    pub fn len(&self) -> usize {
-        match self {
-            EmbeddingTable::F64(rows) => rows.len(),
-            EmbeddingTable::F32(rows) => rows.len(),
-        }
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Storage precision of the rows.
-    pub fn precision(&self) -> Precision {
-        match self {
-            EmbeddingTable::F64(_) => Precision::F64,
-            EmbeddingTable::F32(_) => Precision::F32,
-        }
-    }
-
-    /// Cycle `t`'s embedding as f64, borrowing stored f64 rows directly
-    /// and widening f32 rows through the caller's reusable scratch buffer
-    /// (no per-row allocation on the head-stage hot path).
-    pub fn row_f64<'a>(&'a self, t: usize, scratch: &'a mut Vec<f64>) -> &'a [f64] {
-        match self {
-            EmbeddingTable::F64(rows) => &rows[t],
-            EmbeddingTable::F32(rows) => {
-                scratch.clear();
-                scratch.extend(rows[t].iter().map(|&v| v as f64));
-                scratch
-            }
-        }
-    }
-
-    /// Approximate heap bytes of the stored rows (cache accounting).
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            EmbeddingTable::F64(rows) => rows.iter().map(|r| r.len() * 8).sum(),
-            EmbeddingTable::F32(rows) => rows.iter().map(|r| r.len() * 4).sum(),
-        }
-    }
-}
+/// A frozen inference encoder, built **once** per model load by
+/// [`AtlasModel::prepare`] and reused for every trace embedded against
+/// that model.
+pub type PreparedEncoder = InferenceEncoder;
 
 /// Stage-one inference output for one sub-module across a whole trace:
 /// per-cycle encoder embeddings and side features, plus the item-level
@@ -109,8 +34,8 @@ impl EmbeddingTable {
 pub struct SubmoduleEmbeddings {
     /// Index of the sub-module in its design.
     pub submodule: usize,
-    /// Per-cycle graph embeddings, at the precision they were computed at.
-    pub embeddings: EmbeddingTable,
+    /// `embeddings[cycle]` — that cycle's graph embedding.
+    pub embeddings: Vec<Vec<f64>>,
     /// `sides[cycle]` — the toggle-weighted side features for that cycle.
     pub sides: Vec<SideFeatures>,
     /// [`SubmoduleData::structural_fingerprint`] of the graph these rows
@@ -118,10 +43,10 @@ pub struct SubmoduleEmbeddings {
     /// fingerprint (same cells, classes, static features, adjacency).
     pub graph_fp: u64,
     /// `pattern_digests[cycle]` — FNV-1a digest of that cycle's packed
-    /// toggle bitset. Equal digests (under equal `graph_fp` and storage
-    /// precision) mean bit-identical encoder input, so the delta path
-    /// copies the row instead of re-encoding; 64-bit collisions are
-    /// treated as negligible.
+    /// toggle bitset. Equal digests (under equal `graph_fp`) mean
+    /// bit-identical encoder input, so the delta path copies the row
+    /// instead of re-encoding; 64-bit collisions are treated as
+    /// negligible.
     pub pattern_digests: Vec<u64>,
 }
 
@@ -140,7 +65,6 @@ pub struct TraceEmbeddings {
     workload: String,
     cycles: usize,
     n_submodules: usize,
-    precision: Precision,
     per_submodule: Vec<SubmoduleEmbeddings>,
 }
 
@@ -150,24 +74,20 @@ impl TraceEmbeddings {
         self.cycles
     }
 
-    /// Precision the embeddings were computed and are stored at.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
     /// Per-sub-module embedding tables.
     pub fn per_submodule(&self) -> &[SubmoduleEmbeddings] {
         &self.per_submodule
     }
 
-    /// Approximate heap size in bytes (for cache accounting). f32 tables
-    /// report half the bytes of f64 tables, so a byte-budgeted cache holds
-    /// twice the traces at reduced precision.
+    /// Approximate heap size in bytes (for cache accounting).
     pub fn approx_bytes(&self) -> usize {
         self.per_submodule
             .iter()
             .map(|s| {
-                s.embeddings.approx_bytes()
+                s.embeddings
+                    .iter()
+                    .map(|r| r.len() * std::mem::size_of::<f64>())
+                    .sum::<usize>()
                     + s.sides.len() * std::mem::size_of::<SideFeatures>()
                     + s.pattern_digests.len() * std::mem::size_of::<u64>()
             })
@@ -250,23 +170,19 @@ fn ranged_items(
     items
 }
 
-/// Per-precision unique-pattern embedding rows (phase-2 working set).
-enum EmbRows {
-    F64(Vec<Vec<f64>>),
-    F32(Vec<Vec<f32>>),
-}
-
 /// Phase-1 output: per (sub-module, cycle) side features, and each
 /// sub-module's cycles collapsed onto its whole-trace unique
-/// toggle-pattern set (`pattern_of[sm][cycle]` indexes `uniq_bits[sm]`).
+/// toggle-pattern set (`pattern_of[sm][cycle]` indexes `uniq_bits[sm]`
+/// and its digest `uniq_digests[sm]`).
 struct TraceScan {
     sides_of: Vec<Vec<SideFeatures>>,
     pattern_of: Vec<Vec<usize>>,
     uniq_bits: Vec<Vec<Vec<u64>>>,
+    uniq_digests: Vec<Vec<u64>>,
 }
 
-/// Phase 1 of both embed paths: (sub-module × cycle-range) items pack
-/// each cycle's toggles into a bitset and compute its side features, then
+/// Phase 1 of the embed: (sub-module × cycle-range) items pack each
+/// cycle's toggles into a bitset and compute its side features, then
 /// the bitsets merge per sub-module into one whole-trace unique
 /// toggle-pattern set (workloads repeat patterns — idle phases almost
 /// every cycle — and deduplicating across the whole trace keeps the hit
@@ -359,34 +275,46 @@ fn scan_trace(
         pattern_of.push(slots);
         uniq_bits.push(uniqs);
     }
+    let uniq_digests = data
+        .iter()
+        .zip(&uniq_bits)
+        .map(|(smd, uniqs)| {
+            uniqs
+                .iter()
+                .map(|bits| pattern_digest(smd.node_count(), bits))
+                .collect()
+        })
+        .collect();
     TraceScan {
         sides_of,
         pattern_of,
         uniq_bits,
+        uniq_digests,
     }
 }
 
-/// Phase 2 of both embed paths: run the encoder's cycle-blocked batched
+/// Phase 2 of the embed: run the encoder's cycle-blocked batched
 /// forward over the selected unique patterns only (`slots[sm]` indexes
-/// `uniq_bits[sm]`; the full path selects everything, the delta path only
-/// the patterns its base could not donate). Returns one row per selected
-/// slot, in `slots` order. Rows are position- and chunking-independent —
-/// the encoder is a pure function of (graph, features) — which is exactly
-/// why a subset encode stays bit-identical to the full one.
+/// `uniq_bits[sm]`: the patterns no base could donate) and store each
+/// pattern's row at `rows[sm][slot]`. Rows are position- and
+/// chunking-independent — the encoder is a pure function of (graph,
+/// features) — which is exactly why a subset encode stays bit-identical
+/// to encoding everything.
 fn encode_unique(
-    encoder: &PreparedEncoder,
+    encoder: &InferenceEncoder,
     data: &[SubmoduleData],
     uniq_bits: &[Vec<Vec<u64>>],
     slots: &[Vec<usize>],
     threads: usize,
-) -> Vec<EmbRows> {
+    rows: &mut [Vec<Vec<f64>>],
+) {
     let counts: Vec<usize> = slots.iter().map(|s| s.len()).collect();
     let enc_items = ranged_items(data, &counts, threads);
     let enc_weights: Vec<usize> = enc_items
         .iter()
         .map(|&(sm, _, len)| data[sm].node_count() * len)
         .collect();
-    type EncOut = (usize, usize, EmbRows);
+    type EncOut = (usize, usize, Vec<Vec<f64>>);
     let encoded: Vec<EncOut> = crossbeam::thread::scope(|scope| {
         let mut handles = Vec::new();
         for bin in lpt_bins(&enc_weights, threads) {
@@ -405,22 +333,13 @@ fn encode_unique(
                     // bitset straight into the chunk's stacked operand
                     // (no second trace scan), so live feature memory
                     // stays within the encoder's chunk budget.
-                    let chunk = encoder.cycle_chunk(smd.node_count());
-                    let rows = match encoder {
-                        PreparedEncoder::F64(enc) => EmbRows::F64(enc.encode_graph_batch_fill(
-                            smd.adj(),
-                            len,
-                            chunk,
-                            |u, dst| smd.write_features_from_bits(&bits[pick[start + u]], dst),
-                        )),
-                        PreparedEncoder::F32(enc) => EmbRows::F32(enc.encode_graph_batch_fill(
-                            smd.adj(),
-                            len,
-                            chunk,
-                            |u, dst| smd.write_features_from_bits_f32(&bits[pick[start + u]], dst),
-                        )),
-                    };
-                    local.push((sm, start, rows));
+                    let out = encoder.encode_graph_batch_fill(
+                        smd.adj(),
+                        len,
+                        encoder.cycle_chunk(smd.node_count()),
+                        |u, dst| smd.write_features_from_bits(&bits[pick[start + u]], dst),
+                    );
+                    local.push((sm, start, out));
                 }
                 local
             }));
@@ -432,29 +351,11 @@ fn encode_unique(
     })
     .expect("scoped threads join");
 
-    let mut out: Vec<EmbRows> = counts
-        .iter()
-        .map(|&u| match encoder {
-            PreparedEncoder::F64(_) => EmbRows::F64(vec![Vec::new(); u]),
-            PreparedEncoder::F32(_) => EmbRows::F32(vec![Vec::new(); u]),
-        })
-        .collect();
-    for (sm, start, rows) in encoded {
-        match (&mut out[sm], rows) {
-            (EmbRows::F64(table), EmbRows::F64(rows)) => {
-                for (off, r) in rows.into_iter().enumerate() {
-                    table[start + off] = r;
-                }
-            }
-            (EmbRows::F32(table), EmbRows::F32(rows)) => {
-                for (off, r) in rows.into_iter().enumerate() {
-                    table[start + off] = r;
-                }
-            }
-            _ => unreachable!("phase-2 items share the encoder's precision"),
+    for (sm, start, out) in encoded {
+        for (&slot, r) in slots[sm][start..].iter().zip(out) {
+            rows[sm][slot] = r;
         }
     }
-    out
 }
 
 /// Resolve a `threads` argument (`0` = auto: available parallelism
@@ -470,59 +371,118 @@ fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Final step of both embed paths: every cycle copies its unique
-/// pattern's row, and the item-level reuse keys (graph fingerprint,
-/// per-cycle pattern digests) are stamped alongside.
+/// Final step of the embed: every cycle copies its unique pattern's
+/// row, and the item-level reuse keys (graph fingerprint, per-cycle
+/// pattern digests) are stamped alongside.
 fn assemble_embeddings(
     gate: &Design,
     trace: &ToggleTrace,
-    precision: Precision,
     data: &[SubmoduleData],
     mut scan: TraceScan,
-    uniq_rows: &[EmbRows],
+    uniq_rows: &[Vec<Vec<f64>>],
 ) -> TraceEmbeddings {
-    let cycles = trace.cycles();
     let per_submodule: Vec<SubmoduleEmbeddings> = data
         .iter()
         .enumerate()
-        .map(|(sm, smd)| {
-            let digests_uniq: Vec<u64> = scan.uniq_bits[sm]
+        .map(|(sm, smd)| SubmoduleEmbeddings {
+            submodule: smd.submodule().index(),
+            embeddings: scan.pattern_of[sm]
                 .iter()
-                .map(|bits| pattern_digest(smd.node_count(), bits))
-                .collect();
-            SubmoduleEmbeddings {
-                submodule: smd.submodule().index(),
-                embeddings: match &uniq_rows[sm] {
-                    EmbRows::F64(uniq) => EmbeddingTable::F64(
-                        scan.pattern_of[sm]
-                            .iter()
-                            .map(|&s| uniq[s].clone())
-                            .collect(),
-                    ),
-                    EmbRows::F32(uniq) => EmbeddingTable::F32(
-                        scan.pattern_of[sm]
-                            .iter()
-                            .map(|&s| uniq[s].clone())
-                            .collect(),
-                    ),
-                },
-                sides: std::mem::take(&mut scan.sides_of[sm]),
-                graph_fp: smd.structural_fingerprint(),
-                pattern_digests: scan.pattern_of[sm]
-                    .iter()
-                    .map(|&s| digests_uniq[s])
-                    .collect(),
-            }
+                .map(|&s| uniq_rows[sm][s].clone())
+                .collect(),
+            sides: std::mem::take(&mut scan.sides_of[sm]),
+            graph_fp: smd.structural_fingerprint(),
+            pattern_digests: scan.pattern_of[sm]
+                .iter()
+                .map(|&s| scan.uniq_digests[sm][s])
+                .collect(),
         })
         .collect();
     TraceEmbeddings {
         design: gate.name().to_owned(),
         workload: trace.workload().to_owned(),
-        cycles,
+        cycles: trace.cycles(),
         n_submodules: gate.submodules().len(),
-        precision,
         per_submodule,
     }
+}
+
+/// The one embed path behind [`AtlasModel::embed_trace_with`] (no base)
+/// and [`AtlasModel::embed_trace_delta_with`]: scan, copy every unique
+/// pattern's row that `base` can donate (equal sub-module fingerprint and
+/// pattern digest), encode the rest, assemble.
+fn embed(
+    encoder: &InferenceEncoder,
+    gate: &Design,
+    lib: &Library,
+    data: &[SubmoduleData],
+    trace: &ToggleTrace,
+    threads: usize,
+    base: Option<&TraceEmbeddings>,
+) -> (TraceEmbeddings, DeltaStats) {
+    let threads = resolve_threads(threads);
+    let scan = scan_trace(gate, lib, data, trace, threads);
+    let base_by_sm: HashMap<usize, &SubmoduleEmbeddings> = base
+        .map(|b| b.per_submodule.iter().map(|s| (s.submodule, s)).collect())
+        .unwrap_or_default();
+
+    let mut stats = DeltaStats::default();
+    let mut uniq_rows: Vec<Vec<Vec<f64>>> = Vec::with_capacity(data.len());
+    let mut missing_slots: Vec<Vec<usize>> = Vec::with_capacity(data.len());
+    for (sm, smd) in data.iter().enumerate() {
+        let donor = base_by_sm
+            .get(&smd.submodule().index())
+            .filter(|b| b.graph_fp == smd.structural_fingerprint());
+        // First base cycle per digest; any occurrence donates the same
+        // row bits, so first-wins is as good as any.
+        let mut digest_cycle: HashMap<u64, usize> = HashMap::new();
+        if let Some(b) = donor {
+            for (t, &d) in b.pattern_digests.iter().enumerate() {
+                digest_cycle.entry(d).or_insert(t);
+            }
+        }
+        let digests = &scan.uniq_digests[sm];
+        let mut rows = vec![Vec::new(); digests.len()];
+        let mut missing = Vec::new();
+        for (slot, digest) in digests.iter().enumerate() {
+            match (donor, digest_cycle.get(digest)) {
+                (Some(b), Some(&t)) => {
+                    rows[slot] = b.embeddings[t].clone();
+                    stats.reused_patterns += 1;
+                }
+                _ => {
+                    missing.push(slot);
+                    stats.recomputed_patterns += 1;
+                }
+            }
+        }
+        uniq_rows.push(rows);
+        missing_slots.push(missing);
+    }
+
+    encode_unique(
+        encoder,
+        data,
+        &scan.uniq_bits,
+        &missing_slots,
+        threads,
+        &mut uniq_rows,
+    );
+    for (sm, slots) in scan.pattern_of.iter().enumerate() {
+        let mut fresh = vec![false; uniq_rows[sm].len()];
+        for &slot in &missing_slots[sm] {
+            fresh[slot] = true;
+        }
+        for &slot in slots {
+            if fresh[slot] {
+                stats.recomputed_cycles += 1;
+            } else {
+                stats.reused_cycles += 1;
+            }
+        }
+    }
+    let out = assemble_embeddings(gate, trace, data, scan, &uniq_rows);
+    (out, stats)
 }
 
 /// A trained ATLAS model: frozen encoder + fine-tuned power heads.
@@ -607,21 +567,17 @@ impl AtlasModel {
         self.predict_from_embeddings(&embeddings)
     }
 
-    /// Build a frozen inference encoder at the requested precision — the
-    /// once-per-load conversion point of the precision choice. Keep the
-    /// result and pass it to [`embed_trace_with`](Self::embed_trace_with)
-    /// so repeated traces skip re-cloning (f64) or re-narrowing (f32) the
-    /// weights.
-    pub fn prepare(&self, precision: Precision) -> PreparedEncoder {
-        match precision {
-            Precision::F64 => PreparedEncoder::F64(InferenceEncoder::from_state(&self.encoder)),
-            Precision::F32 => PreparedEncoder::F32(InferenceEncoderF32::from_state(&self.encoder)),
-        }
+    /// Build the frozen inference encoder — the once-per-load
+    /// conversion point. Keep the result and pass it to
+    /// [`embed_trace_with`](Self::embed_trace_with) so repeated traces
+    /// skip re-cloning the weights.
+    pub fn prepare(&self, _precision: Precision) -> PreparedEncoder {
+        InferenceEncoder::from_state(&self.encoder)
     }
 
-    /// Inference stage one (expensive, cacheable) at full precision —
-    /// [`embed_trace_with`](Self::embed_trace_with) against a fresh f64
-    /// encoder.
+    /// Inference stage one (expensive, cacheable) —
+    /// [`embed_trace_with`](Self::embed_trace_with) against a freshly
+    /// prepared encoder.
     pub fn embed_trace(
         &self,
         gate: &Design,
@@ -642,8 +598,7 @@ impl AtlasModel {
 
     /// Inference stage one (expensive, cacheable): per-cycle feature
     /// construction, encoder forwards, and side features for every
-    /// sub-module of the trace, evaluated by a prepared encoder at its
-    /// precision.
+    /// sub-module of the trace, evaluated by a prepared encoder.
     ///
     /// Work runs in two parallel phases over `threads` std threads (`0` =
     /// auto: available parallelism capped at 8), both packed by estimated
@@ -665,10 +620,9 @@ impl AtlasModel {
     ///    each pattern's bitset straight into the chunk's stacked operand.
     ///
     /// Every cycle's embedding is then the copy of its pattern's — exact,
-    /// because the encoder is a pure function of (graph, features). f64
+    /// because the encoder is a pure function of (graph, features). The
     /// results are bit-identical to the per-cycle path for every thread
-    /// count and chunking; f32 results carry the precision's accuracy
-    /// contract ([`atlas_nn::F32_EMBED_TOLERANCE`]) instead.
+    /// count and chunking.
     pub fn embed_trace_with(
         &self,
         encoder: &PreparedEncoder,
@@ -678,15 +632,7 @@ impl AtlasModel {
         trace: &ToggleTrace,
         threads: usize,
     ) -> TraceEmbeddings {
-        let threads = resolve_threads(threads);
-        let scan = scan_trace(gate, lib, data, trace, threads);
-        let all: Vec<Vec<usize>> = scan
-            .uniq_bits
-            .iter()
-            .map(|u| (0..u.len()).collect())
-            .collect();
-        let uniq_rows = encode_unique(encoder, data, &scan.uniq_bits, &all, threads);
-        assemble_embeddings(gate, trace, encoder.precision(), data, scan, &uniq_rows)
+        embed(encoder, gate, lib, data, trace, threads, None).0
     }
 
     /// Incremental sibling of [`embed_trace_with`](Self::embed_trace_with)
@@ -697,14 +643,13 @@ impl AtlasModel {
     /// The scan phase (toggle bitsets + side features) always runs in
     /// full — it is the cheap, linear part and it is what *proves* which
     /// items changed: a row is copied from the base only when the
-    /// sub-module's structural fingerprint, the storage precision, and the
-    /// cycle's toggle-pattern digest all match, so the result is
-    /// bit-identical to a full embed no matter how wrong a caller's edit
-    /// description is (the expensive encoder forwards run only for
-    /// patterns the base cannot donate). Appended cycles, edited
-    /// sub-modules, and `base`s of different lengths or designs all reduce
-    /// to the same rule; a base at the wrong precision simply donates
-    /// nothing. 64-bit digest collisions are treated as negligible.
+    /// sub-module's structural fingerprint and the cycle's toggle-pattern
+    /// digest both match, so the result is bit-identical to a full embed
+    /// no matter how wrong a caller's edit description is (the expensive
+    /// encoder forwards run only for patterns the base cannot donate).
+    /// Appended cycles, edited sub-modules, and `base`s of different
+    /// lengths or designs all reduce to the same rule. 64-bit digest
+    /// collisions are treated as negligible.
     pub fn embed_trace_delta_with(
         &self,
         encoder: &PreparedEncoder,
@@ -715,103 +660,7 @@ impl AtlasModel {
         threads: usize,
         base: &TraceEmbeddings,
     ) -> (TraceEmbeddings, DeltaStats) {
-        let threads = resolve_threads(threads);
-        let scan = scan_trace(gate, lib, data, trace, threads);
-        let precision_ok = base.precision() == encoder.precision();
-        let base_by_sm: HashMap<usize, &SubmoduleEmbeddings> = base
-            .per_submodule
-            .iter()
-            .map(|s| (s.submodule, s))
-            .collect();
-
-        let mut stats = DeltaStats::default();
-        let mut uniq_rows: Vec<EmbRows> = scan
-            .uniq_bits
-            .iter()
-            .map(|u| match encoder {
-                PreparedEncoder::F64(_) => EmbRows::F64(vec![Vec::new(); u.len()]),
-                PreparedEncoder::F32(_) => EmbRows::F32(vec![Vec::new(); u.len()]),
-            })
-            .collect();
-        let mut missing_slots: Vec<Vec<usize>> = vec![Vec::new(); data.len()];
-        let mut slot_reused: Vec<Vec<bool>> = scan
-            .uniq_bits
-            .iter()
-            .map(|u| vec![false; u.len()])
-            .collect();
-        for (sm, smd) in data.iter().enumerate() {
-            let donor = if precision_ok {
-                base_by_sm
-                    .get(&smd.submodule().index())
-                    .copied()
-                    .filter(|b| b.graph_fp == smd.structural_fingerprint())
-                    .filter(|b| b.embeddings.precision() == encoder.precision())
-            } else {
-                None
-            };
-            // First base cycle per digest; any occurrence donates the
-            // same row bits, so first-wins is as good as any.
-            let digest_cycle: HashMap<u64, usize> = donor
-                .map(|b| {
-                    let mut m = HashMap::new();
-                    for (t, &d) in b.pattern_digests.iter().enumerate() {
-                        m.entry(d).or_insert(t);
-                    }
-                    m
-                })
-                .unwrap_or_default();
-            for (slot, bits) in scan.uniq_bits[sm].iter().enumerate() {
-                let digest = pattern_digest(smd.node_count(), bits);
-                let hit = donor.and_then(|b| digest_cycle.get(&digest).map(|&t| (b, t)));
-                match hit {
-                    Some((b, t)) => {
-                        match (&mut uniq_rows[sm], &b.embeddings) {
-                            (EmbRows::F64(rows), EmbeddingTable::F64(table)) => {
-                                rows[slot] = table[t].clone();
-                            }
-                            (EmbRows::F32(rows), EmbeddingTable::F32(table)) => {
-                                rows[slot] = table[t].clone();
-                            }
-                            _ => unreachable!("donor filtered to the encoder's precision"),
-                        }
-                        slot_reused[sm][slot] = true;
-                        stats.reused_patterns += 1;
-                    }
-                    None => {
-                        missing_slots[sm].push(slot);
-                        stats.recomputed_patterns += 1;
-                    }
-                }
-            }
-        }
-
-        let fresh = encode_unique(encoder, data, &scan.uniq_bits, &missing_slots, threads);
-        for (sm, rows) in fresh.into_iter().enumerate() {
-            match (&mut uniq_rows[sm], rows) {
-                (EmbRows::F64(table), EmbRows::F64(rows)) => {
-                    for (i, r) in rows.into_iter().enumerate() {
-                        table[missing_slots[sm][i]] = r;
-                    }
-                }
-                (EmbRows::F32(table), EmbRows::F32(rows)) => {
-                    for (i, r) in rows.into_iter().enumerate() {
-                        table[missing_slots[sm][i]] = r;
-                    }
-                }
-                _ => unreachable!("fresh rows share the encoder's precision"),
-            }
-        }
-        for (sm, slots) in scan.pattern_of.iter().enumerate() {
-            for &slot in slots {
-                if slot_reused[sm][slot] {
-                    stats.reused_cycles += 1;
-                } else {
-                    stats.recomputed_cycles += 1;
-                }
-            }
-        }
-        let out = assemble_embeddings(gate, trace, encoder.precision(), data, scan, &uniq_rows);
-        (out, stats)
+        embed(encoder, gate, lib, data, trace, threads, Some(base))
     }
 
     /// Inference stage two (cheap): run the fine-tuned heads over
@@ -824,10 +673,8 @@ impl AtlasModel {
             embeddings.cycles,
             embeddings.n_submodules,
         );
-        let mut scratch = Vec::new();
         for sm in &embeddings.per_submodule {
-            for (t, side) in sm.sides.iter().enumerate() {
-                let emb = sm.embeddings.row_f64(t, &mut scratch);
+            for (t, (emb, side)) in sm.embeddings.iter().zip(&sm.sides).enumerate() {
                 let [comb, reg, ct] = self.heads.predict_groups(emb, side);
                 let mem = self.heads.memory.predict(side);
                 out.add(t, sm.submodule, PowerGroup::Combinational.index(), comb);
@@ -990,25 +837,30 @@ mod tests {
     fn delta_from_foreign_base_donates_nothing_but_stays_exact() {
         let (model, bundle, lib) = tiny_model();
         let data = build_submodule_data(&bundle.gate, &lib);
-        let f64enc = model.prepare(Precision::F64);
-        let f32enc = model.prepare(Precision::F32);
-        // An f32 base can never donate rows to an f64 delta.
-        let base32 =
-            model.embed_trace_with(&f32enc, &bundle.gate, &lib, &data, &bundle.gate_trace, 2);
-        let full =
-            model.embed_trace_with(&f64enc, &bundle.gate, &lib, &data, &bundle.gate_trace, 2);
+        let enc = model.prepare(Precision::F64);
+        let full = model.embed_trace_with(&enc, &bundle.gate, &lib, &data, &bundle.gate_trace, 2);
+        // A base encoded against other graph structures: same toggle
+        // patterns, different fingerprints, and rows that would be wrong
+        // if any were copied.
+        let mut foreign = full.clone();
+        for sm in &mut foreign.per_submodule {
+            sm.graph_fp ^= 1;
+            for row in &mut sm.embeddings {
+                row.iter_mut().for_each(|v| *v = -1.0);
+            }
+        }
         let (delta, stats) = model.embed_trace_delta_with(
-            &f64enc,
+            &enc,
             &bundle.gate,
             &lib,
             &data,
             &bundle.gate_trace,
             2,
-            &base32,
+            &foreign,
         );
         assert_eq!(
             stats.reused_patterns, 0,
-            "precision mismatch must donate nothing"
+            "fingerprint mismatch must donate nothing"
         );
         assert!(stats.recomputed_patterns > 0);
         for (a, b) in full.per_submodule().iter().zip(delta.per_submodule()) {

@@ -12,7 +12,7 @@
 //! At serving time the same sub-module graph is encoded once per trace
 //! cycle, under feature matrices that differ only in the toggle channel.
 //! Instead of running `cycles` separate small forwards, the batch path
-//! ([`encode_graph_batch_with`](InferenceEncoder::encode_graph_batch_with))
+//! ([`encode_graph_batch_fill`](InferenceEncoder::encode_graph_batch_fill))
 //! stacks a chunk of `B` per-cycle feature matrices into one `(B·n) ×
 //! input_dim` operand and runs the embed layer and every layer's q/k/v/gcn
 //! linears as **one matmul per layer per chunk**. The cycle structure
@@ -32,13 +32,13 @@ use crate::sparse::SparseAdj;
 /// at once during a layer and the pass structure sweeps them repeatedly,
 /// so this is sized to keep the whole working set near the last-level
 /// cache rather than to fit RAM.
-pub(crate) const CHUNK_BUDGET_BYTES: usize = 512 << 10;
+const CHUNK_BUDGET_BYTES: usize = 512 << 10;
 
 /// Upper bound on cycles per chunk. Empirically the batched forward is
 /// fastest with shallow chunks: they amortize scratch reuse and the
 /// output projection while keeping every temporary cache-resident —
 /// locality beats batch depth once per-chunk fixed costs are amortized.
-pub(crate) const MAX_CYCLE_CHUNK: usize = 4;
+const MAX_CYCLE_CHUNK: usize = 4;
 
 /// Reusable large temporaries of the cycle-blocked hidden pass, all
 /// `(blocks·n) × hidden`. Allocated lazily to the working shape and then
@@ -317,83 +317,23 @@ impl InferenceEncoder {
     }
 
     /// Batched [`encode_graph`](Self::encode_graph): embed the same graph
-    /// under many feature matrices (one per cycle) in one call.
+    /// under `count` feature matrices (one per cycle) in one call.
     ///
-    /// Cycles are processed in memory-capped chunks through the
-    /// cycle-blocked forward: one matmul
-    /// per layer per chunk instead of per cycle, segmented attention and
-    /// propagation per cycle block, and one output projection for the
-    /// whole batch. Results are bit-identical to calling
-    /// [`encode_graph`](Self::encode_graph) per feature matrix, because
-    /// every output element is the same dot-product sequence.
+    /// `fill_features(i, dst)` writes cycle `i`'s `n × input_dim` feature
+    /// block directly into the row-major `dst` slice of the current
+    /// chunk's stacked operand, so callers that synthesize features
+    /// (static features + a toggle bit) never build a per-cycle
+    /// [`Matrix`], and at most one chunk of features is live at a time.
     ///
-    /// # Panics
-    ///
-    /// Panics on feature-shape mismatch in any batch entry.
-    pub fn encode_graph_batch(&self, adj: &SparseAdj, features: &[Matrix]) -> Vec<Vec<f64>> {
-        self.encode_graph_batch_with(adj, features.len(), |i| features[i].clone())
-    }
-
-    /// [`encode_graph_batch`](Self::encode_graph_batch) with streamed
-    /// feature construction: `make_features(i)` is called once per batch
-    /// entry and the matrix is dropped as soon as it is copied into the
-    /// current cycle chunk, so at most one chunk of features (bounded by
-    /// [`cycle_chunk`](Self::cycle_chunk), never a whole trace on a large
-    /// sub-module) is live at a time regardless of batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics on feature-shape mismatch in any batch entry.
-    pub fn encode_graph_batch_with<F>(
-        &self,
-        adj: &SparseAdj,
-        count: usize,
-        make_features: F,
-    ) -> Vec<Vec<f64>>
-    where
-        F: FnMut(usize) -> Matrix,
-    {
-        let chunk = self.cycle_chunk(adj.node_count());
-        self.encode_graph_batch_chunked(adj, count, chunk, make_features)
-    }
-
-    /// [`encode_graph_batch_with`](Self::encode_graph_batch_with) with an
-    /// explicit cycle-chunk size (clamped to `1..=count`). Exposed so
-    /// callers scheduling their own chunks (and the chunk-boundary parity
-    /// tests) can pick `chunk`; results are bit-identical for every
-    /// choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics on feature-shape mismatch in any batch entry.
-    pub fn encode_graph_batch_chunked<F>(
-        &self,
-        adj: &SparseAdj,
-        count: usize,
-        chunk: usize,
-        mut make_features: F,
-    ) -> Vec<Vec<f64>>
-    where
-        F: FnMut(usize) -> Matrix,
-    {
-        let n = adj.node_count();
-        let shape = (n, self.input_dim);
-        self.encode_graph_batch_fill(adj, count, chunk, |i, dst| {
-            let feats = make_features(i);
-            assert_eq!(
-                feats.shape(),
-                shape,
-                "feature shape mismatch in batch entry {i}"
-            );
-            dst.copy_from_slice(feats.as_slice());
-        })
-    }
-
-    /// The zero-copy core of the batched encode: `fill_features(i, dst)`
-    /// writes cycle `i`'s `n × input_dim` feature block directly into the
-    /// row-major `dst` slice of the current chunk's stacked operand, so
-    /// callers that synthesize features (static features + a toggle bit)
-    /// can skip building a per-cycle [`Matrix`] entirely.
+    /// Cycles are processed `chunk` at a time (clamped to `1..=count`;
+    /// [`cycle_chunk`](Self::cycle_chunk) is the memory-capped default)
+    /// through the cycle-blocked forward: one matmul per layer per chunk
+    /// instead of per cycle, segmented attention and propagation per
+    /// cycle block, and one output projection for the whole batch.
+    /// Results are bit-identical to calling
+    /// [`encode_graph`](Self::encode_graph) per feature matrix, for every
+    /// chunk size, because every output element is the same dot-product
+    /// sequence.
     ///
     /// # Panics
     ///
@@ -456,6 +396,20 @@ impl InferenceEncoder {
             })
             .collect()
     }
+}
+
+/// [`InferenceEncoder::encode_graph_batch_fill`] over prebuilt per-cycle
+/// feature matrices, for the batched-vs-per-cycle parity tests.
+#[cfg(test)]
+fn encode_matrices(
+    frozen: &InferenceEncoder,
+    adj: &SparseAdj,
+    feats: &[Matrix],
+    chunk: usize,
+) -> Vec<Vec<f64>> {
+    frozen.encode_graph_batch_fill(adj, feats.len(), chunk, |i, dst| {
+        dst.copy_from_slice(feats[i].as_slice())
+    })
 }
 
 #[cfg(test)]
@@ -523,13 +477,13 @@ mod graph_fast_path_tests {
         let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
         let adj = SparseAdj::normalized_from_edges(n, &edges);
         let batch: Vec<Matrix> = (0..5).map(|i| Matrix::xavier(n, 7, 100 + i)).collect();
-        let batched = frozen.encode_graph_batch(&adj, &batch);
+        let batched = encode_matrices(&frozen, &adj, &batch, frozen.cycle_chunk(n));
         assert_eq!(batched.len(), batch.len());
         for (feats, got) in batch.iter().zip(&batched) {
             let single = frozen.encode_graph(&adj, feats);
             assert_eq!(&single, got, "batched embedding diverged");
         }
-        assert!(frozen.encode_graph_batch(&adj, &[]).is_empty());
+        assert!(encode_matrices(&frozen, &adj, &[], frozen.cycle_chunk(n)).is_empty());
     }
 
     #[test]
@@ -575,7 +529,7 @@ mod graph_fast_path_tests {
         let adj = SparseAdj::normalized_from_edges(n, &edges);
         let feats: Vec<Matrix> = (0..9).map(|i| Matrix::xavier(n, 24, 900 + i)).collect();
         for chunk in [1usize, 4, 16] {
-            let batched = frozen.encode_graph_batch_chunked(&adj, 9, chunk, |i| feats[i].clone());
+            let batched = encode_matrices(&frozen, &adj, &feats, chunk);
             for (t, f) in feats.iter().enumerate() {
                 assert_eq!(
                     batched[t],
@@ -655,9 +609,7 @@ mod batched_parity_proptests {
             let feats: Vec<Matrix> =
                 (0..cycles).map(|i| Matrix::xavier(n, 5, seed * 131 + i as u64)).collect();
 
-            let batched = frozen.encode_graph_batch_chunked(
-                &adj, cycles, chunk, |i| feats[i].clone(),
-            );
+            let batched = encode_matrices(&frozen, &adj, &feats, chunk);
             prop_assert_eq!(batched.len(), cycles);
             for (t, f) in feats.iter().enumerate() {
                 let per_cycle = frozen.encode_graph(&adj, f);
@@ -688,8 +640,8 @@ mod batched_parity_proptests {
             let adj = test_adj(n, seed);
             let feats: Vec<Matrix> =
                 (0..cycles).map(|i| Matrix::xavier(n, 4, seed * 977 + i as u64)).collect();
-            let a = frozen.encode_graph_batch_chunked(&adj, cycles, chunk_a, |i| feats[i].clone());
-            let b = frozen.encode_graph_batch_chunked(&adj, cycles, chunk_b, |i| feats[i].clone());
+            let a = encode_matrices(&frozen, &adj, &feats, chunk_a);
+            let b = encode_matrices(&frozen, &adj, &feats, chunk_b);
             prop_assert_eq!(a, b);
         }
     }

@@ -5,7 +5,6 @@
 //! ```text
 //! serve --registry DIR --model SPEC [--model SPEC ...]
 //!       [--default-model NAME] [--workers N] [--cache-mb N]
-//!       [--precision f64|f32]
 //!       [--model-quota NAME=K ...] [--workload-file PATH]
 //!       [--tcp ADDR] [--max-conns N] [--reactor-threads N]
 //!       [--shard-id N] [--cache-snapshot PATH]
@@ -27,10 +26,6 @@
 //! the pool fairly (`workers / hosted models`). `--workload-file PATH`
 //! makes the `register_workload` library durable: registrations append
 //! to the JSON-lines journal and are replayed at the next startup.
-//! `--precision f32` runs every hosted model's encoder at reduced
-//! precision: embeddings cost half the bytes, so the same `--cache-mb`
-//! budget holds twice the traces, at the f32 accuracy delta instead of
-//! bit parity.
 //!
 //! In stdio mode each stdin line is a request and each stdout line the
 //! matching response; EOF shuts the service down. In TCP mode
@@ -49,7 +44,6 @@ use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use atlas_core::Precision;
 use atlas_serve::reactor::{ReactorConfig, ReactorPool};
 use atlas_serve::{
     protocol, AtlasService, ModelCatalog, ModelRegistry, RequestLine, ServiceConfig,
@@ -62,7 +56,6 @@ struct Args {
     list: bool,
     workers: usize,
     cache_mb: usize,
-    precision: Precision,
     tcp: Option<String>,
     max_conns: usize,
     reactor_threads: usize,
@@ -80,7 +73,6 @@ fn parse_args() -> Result<Args, String> {
         list: false,
         workers: 4,
         cache_mb: 256,
-        precision: Precision::F64,
         tcp: None,
         max_conns: ReactorConfig::default().max_connections,
         reactor_threads: 1,
@@ -117,11 +109,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--model-quota {name}: {e}"))?;
                 args.model_quotas.push((name.to_owned(), k));
             }
-            "--precision" => {
-                args.precision = value("--precision")?
-                    .parse()
-                    .map_err(|e| format!("--precision: {e}"))?;
-            }
             "--workload-file" => args.workload_file = Some(value("--workload-file")?),
             "--tcp" => args.tcp = Some(value("--tcp")?),
             "--max-conns" => {
@@ -149,13 +136,10 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: serve --registry DIR (--model SPEC [--model SPEC ...] \
                      [--default-model NAME] [--workers N] [--cache-mb N] \
-                     [--precision f64|f32] \
                      [--model-quota NAME=K ...] [--workload-file PATH] \
                      [--tcp ADDR] [--max-conns N] [--reactor-threads N] \
                      [--shard-id N] [--cache-snapshot PATH] | --list)\n\
                      SPEC is NAME, ALIAS=NAME, or ALIAS=PATH (an .atlas.json file)\n\
-                     --precision f32 halves embedding bytes (the --cache-mb budget \
-                     holds twice the traces) at the f32 accuracy delta\n\
                      --model-quota caps workers tied up in NAME's cold requests \
                      (default: workers / hosted models)\n\
                      --workload-file journals register_workload calls and replays \
@@ -237,7 +221,6 @@ fn main() -> ExitCode {
         ServiceConfig {
             workers: args.workers,
             embedding_cache_bytes: args.cache_mb.saturating_mul(1 << 20),
-            precision: args.precision,
             model_quotas: args.model_quotas.iter().cloned().collect(),
             workload_file: args.workload_file.as_ref().map(Into::into),
             shard_id: args.shard_id,
@@ -252,12 +235,11 @@ fn main() -> ExitCode {
     };
     let hosted: Vec<String> = service.models().into_iter().map(|m| m.name).collect();
     eprintln!(
-        "serving {} model(s) [{}] (default `{}`) with {} workers at {} precision",
+        "serving {} model(s) [{}] (default `{}`) with {} workers",
         hosted.len(),
         hosted.join(", "),
         service.default_model(),
         args.workers,
-        args.precision,
     );
 
     // Warm start: re-admit a previous run's cache snapshot before the

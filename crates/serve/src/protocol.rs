@@ -1306,7 +1306,6 @@ mod tests {
             shard_id: Some(3),
             models: vec![ModelStats {
                 model: "alpha".into(),
-                precision: "f64".into(),
                 requests: 11,
                 errors: 2,
                 embeddings_computed: 3,

@@ -129,13 +129,6 @@ pub struct ServiceConfig {
     /// library survives restarts. `None` keeps the library in-memory
     /// only.
     pub workload_file: Option<PathBuf>,
-    /// Numeric precision of the inference encoders (applies to every
-    /// hosted model; weights are converted once at model load).
-    /// [`Precision::F32`] halves each cached embedding's bytes — doubling
-    /// what fits `embedding_cache_bytes` — at the cost of the f32
-    /// accuracy delta ([`atlas_core::F32_EMBED_TOLERANCE`]) instead of
-    /// bit parity.
-    pub precision: Precision,
     /// Identity of this process in a shard fleet (`None` when serving
     /// unsharded). Purely attributive: it is echoed by `stats` and
     /// stamped into cache snapshots so journals and dashboards stay
@@ -159,7 +152,6 @@ impl Default for ServiceConfig {
             model_quotas: HashMap::new(),
             max_queued_per_model: 1024,
             workload_file: None,
-            precision: Precision::F64,
             shard_id: None,
         }
     }
@@ -230,9 +222,6 @@ pub struct DesignInfo {
 pub struct ModelStats {
     /// Serving name of the model these counters belong to.
     pub model: String,
-    /// Inference precision of this model's prepared encoder (`"f64"` or
-    /// `"f32"`; f32 embeddings cost half the cache bytes).
-    pub precision: String,
     /// Requests routed to this model (including errors).
     pub requests: u64,
     /// Requests routed to this model that returned an error.
@@ -310,9 +299,8 @@ struct ModelState {
     format_version: u32,
     config_fingerprint: u64,
     model: AtlasModel,
-    /// The inference encoder at the service's configured precision,
-    /// converted **once** here at load (the f32 path narrows every weight
-    /// matrix) and reused by every embedding this model computes.
+    /// The inference encoder, converted **once** here at load and reused
+    /// by every embedding this model computes.
     prepared: PreparedEncoder,
     experiment: ExperimentConfig,
     lib: Library,
@@ -335,7 +323,7 @@ impl ModelState {
     fn new(name: String, saved: SavedModel, cfg: &ServiceConfig) -> ModelState {
         let lib = saved.config.library();
         let quota = cfg.model_quotas.get(&name).copied();
-        let prepared = saved.model.prepare(cfg.precision);
+        let prepared = saved.model.prepare(Precision::F64);
         ModelState {
             name,
             format_version: saved.header.format_version,
@@ -366,7 +354,6 @@ impl ModelState {
     fn stats(&self, effective_quota: usize) -> ModelStats {
         ModelStats {
             model: self.name.clone(),
-            precision: self.prepared.precision().label().to_owned(),
             requests: self.requests.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             embeddings_computed: self.embeds_computed.load(Ordering::Relaxed),
@@ -417,7 +404,6 @@ fn design_fingerprint(design: &Design) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct SnapshotHeader {
     format_version: u32,
-    precision: String,
     shard_id: Option<u32>,
 }
 
@@ -1160,7 +1146,7 @@ impl AtlasService {
     /// Serialize every hosted model's resident embedding cache to
     /// `path` — the warm-start snapshot a restarted shard reloads with
     /// [`AtlasService::restore_cache`]. JSON lines: one header carrying
-    /// the registry format version, precision, and shard id, then one
+    /// the registry format version and shard id, then one
     /// fingerprinted entry per cached embedding, oldest-first per model
     /// (so a restore reproduces eviction priority). Written to a
     /// sibling temporary and renamed into place, so a crash mid-write
@@ -1178,7 +1164,6 @@ impl AtlasService {
         };
         let header = SnapshotHeader {
             format_version: crate::registry::FORMAT_VERSION,
-            precision: self.shared.cfg.precision.label().to_owned(),
             shard_id: self.shared.cfg.shard_id,
         };
         let mut out = serde_json::to_string(&header).map_err(|e| fail("render", &e))?;
@@ -1226,7 +1211,7 @@ impl AtlasService {
     /// Re-admit a [`AtlasService::snapshot_cache`] file into the hosted
     /// models' embedding caches — the warm-start path of a restarted
     /// shard. Never fatal: a missing or unreadable file, a header whose
-    /// format version or precision does not match this service, and any
+    /// format version does not match this service, and any
     /// entry that is unparsable, fingerprint-mismatched, addressed to an
     /// unhosted model (or one hosted with a different config
     /// fingerprint), internally inconsistent, or too large for the cache
@@ -1243,10 +1228,7 @@ impl AtlasService {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let header: Option<SnapshotHeader> =
             lines.next().and_then(|l| serde_json::from_str(l).ok());
-        let header_ok = header.is_some_and(|h| {
-            h.format_version == crate::registry::FORMAT_VERSION
-                && h.precision == self.shared.cfg.precision.label()
-        });
+        let header_ok = header.is_some_and(|h| h.format_version == crate::registry::FORMAT_VERSION);
         if !header_ok {
             report.skipped = lines.count();
             return report;
@@ -1284,7 +1266,6 @@ impl AtlasService {
                 && state
                     .as_ref()
                     .is_some_and(|s| s.config_fingerprint == entry.record.config_fingerprint)
-                && entry.record.embeddings.precision() == self.shared.cfg.precision
                 && entry.record.embeddings.cycles() == entry.record.key.cycles;
             match (admissible, state) {
                 (true, Some(state)) => {
@@ -2307,46 +2288,6 @@ mod tests {
             changed_submodules: None,
         });
         assert!(matches!(bad_base, Err(ServeError::InvalidRequest(_))));
-    }
-
-    #[test]
-    fn f32_precision_serves_and_shrinks_cache_weight() {
-        let cfg = micro_config();
-        let trained = train_atlas(&cfg);
-        let start = |precision| {
-            AtlasService::start_with(
-                trained.model.clone(),
-                cfg.clone(),
-                ServiceConfig {
-                    workers: 1,
-                    precision,
-                    ..ServiceConfig::default()
-                },
-            )
-        };
-        let f64_service = start(Precision::F64);
-        let f32_service = start(Precision::F32);
-
-        let request = PredictRequest::new("C2", "W1", 8);
-        let wide = f64_service.call(request.clone()).expect("f64 request");
-        let narrow = f32_service.call(request).expect("f32 request");
-
-        // The f32 path produces sane power numbers of the same shape; it
-        // trades bit parity for bytes, so no exact-equality assertion here
-        // (the accuracy delta itself is gated in `infer_bench`).
-        assert_eq!(narrow.cycles, wide.cycles);
-        assert_eq!(narrow.per_cycle_total_w.len(), wide.per_cycle_total_w.len());
-        assert!(narrow.mean_total_w > 0.0);
-        assert!(narrow.per_cycle_total_w.iter().all(|w| w.is_finite()));
-
-        // Cached embeddings cost fewer bytes at f32: the same trace weighs
-        // less, so a byte-budgeted cache holds more traces.
-        let wide_stats = f64_service.stats();
-        let narrow_stats = f32_service.stats();
-        assert!(narrow_stats.embedding_cache.weight > 0);
-        assert!(narrow_stats.embedding_cache.weight < wide_stats.embedding_cache.weight);
-        assert_eq!(wide_stats.models[0].precision, "f64");
-        assert_eq!(narrow_stats.models[0].precision, "f32");
     }
 
     #[test]

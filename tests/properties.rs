@@ -523,8 +523,9 @@ fn restore_respects_the_live_cache_budget() {
 /// The warm-start contract, end to end: a drained service's cache
 /// snapshot, restored into a fresh process over the same model, answers
 /// every snapshotted key bit-identically as a cache hit with **zero**
-/// embeddings recomputed — and a single-bit-corrupted entry is skipped
-/// non-fatally (that key recomputes; every other key stays warm).
+/// embeddings recomputed — a single-bit-corrupted entry is skipped
+/// non-fatally (that key recomputes; every other key stays warm), and a
+/// snapshot in an older entry encoding restores nothing.
 ///
 /// One deterministic test rather than a proptest: it trains a (micro)
 /// model, which is far too expensive per proptest case.
@@ -636,6 +637,62 @@ fn cache_snapshot_roundtrip_is_bit_identical_and_corruption_is_skipped() {
         1,
         "exactly the corrupted entry's key recomputes"
     );
+
+    // A snapshot in the older entry encoding, from when tables could be
+    // stored at either of two precisions: a header naming its precision, and authentic (re-fingerprinted)
+    // entries whose trace carries a `precision` field and whose tables
+    // are tagged `{"F32":[..]}` / `{"F64":[..]}`. No entry may restore;
+    // every key recomputes, bit-identical to a fresh service.
+    let fnv1a = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let mut old_lines = text.lines();
+    let header = old_lines.next().expect("header line");
+    assert!(header.contains(",\"shard_id\""), "header shape: {header}");
+    let mut legacy = header.replacen(",\"shard_id\"", ",\"precision\":\"f32\",\"shard_id\"", 1);
+    legacy.push('\n');
+    for (i, line) in old_lines.enumerate() {
+        let tag = if i % 2 == 0 { "F32" } else { "F64" };
+        let at = line.find(",\"record\":").expect("entry has a record");
+        let body = &line[at + ",\"record\":".len()..line.len() - 1];
+        assert!(body.contains("\"embeddings\":[["), "table shape: {body}");
+        let body = body
+            .replacen(
+                "\"per_submodule\":[",
+                &format!("\"precision\":\"{tag}\",\"per_submodule\":["),
+                1,
+            )
+            .replace(
+                "\"embeddings\":[[",
+                &format!("\"embeddings\":{{\"{tag}\":[["),
+            )
+            .replace("]],\"sides\":", "]]},\"sides\":");
+        legacy.push_str(&format!(
+            "{{\"fingerprint\":{},\"record\":{body}}}\n",
+            fnv1a(body.as_bytes())
+        ));
+    }
+    let legacy_path = dir.join("legacy.snapshot");
+    std::fs::write(&legacy_path, legacy).expect("legacy writes");
+    let fourth = AtlasService::start(registry.load("snap").expect("loads"), svc_cfg());
+    let report = fourth.restore_cache(&legacy_path);
+    assert_eq!(report.restored, 0, "pre-change entries never restore");
+    assert_eq!(
+        report.skipped,
+        keys.len(),
+        "every pre-change entry is skipped"
+    );
+    for (&(d, w, c), original) in keys.iter().zip(&originals) {
+        let cold = fourth.call(PredictRequest::new(d, w, c)).expect("predicts");
+        assert!(!cold.cache_hit, "{d}/{w}/{c} must recompute");
+        assert_eq!(
+            cold.per_cycle_total_w, original.per_cycle_total_w,
+            "recomputed {d}/{w}/{c} must match a fresh service"
+        );
+    }
+    assert_eq!(fourth.stats().embeddings_computed, keys.len() as u64);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
