@@ -50,17 +50,21 @@ fn attention_reductions(c: &mut Criterion) {
         let blocks = 4;
         let pk = hidden_like(blocks * n, d, 4).map(|v| v + 0.01);
         let v = hidden_like(blocks * n, d, 5);
+        let mut kv = Matrix::zeros(d, d);
         g.bench_function(&format!("kv_blocks/{blocks}x{n}x{d}"), |b| {
             b.iter(|| {
                 for blk in 0..blocks {
-                    std::hint::black_box(pk.matmul_tn_block(&v, blk * n, n));
+                    pk.matmul_tn_block_into(&v, blk * n, n, &mut kv);
+                    std::hint::black_box(&kv);
                 }
             })
         });
+        let mut ksum = vec![0.0; d];
         g.bench_function(&format!("ksum_blocks/{blocks}x{n}x{d}"), |b| {
             b.iter(|| {
                 for blk in 0..blocks {
-                    std::hint::black_box(pk.col_sums_block(blk * n, n));
+                    pk.col_sums_block_into(blk * n, n, &mut ksum);
+                    std::hint::black_box(&ksum);
                 }
             })
         });

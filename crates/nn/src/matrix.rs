@@ -664,18 +664,7 @@ impl Matrix {
     /// zero skip buys nothing there). Per output element the accumulation
     /// is `k`-ascending, and a sum starting at +0.0 can never be -0.0, so
     /// results are bit-identical to `matmul_tn` over the extracted rows
-    /// for all finite inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row range exceeds either operand.
-    pub fn matmul_tn_block(&self, other: &Matrix, row_start: usize, row_count: usize) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        self.matmul_tn_block_into(other, row_start, row_count, &mut out);
-        out
-    }
-
-    /// [`matmul_tn_block`](Self::matmul_tn_block) into a caller-provided
+    /// for all finite inputs. Writes into a caller-provided
     /// `self.cols() × other.cols()` buffer (fully overwritten), so hot
     /// paths can reuse scratch memory.
     ///
@@ -758,23 +747,13 @@ impl Matrix {
         }
     }
 
-    /// Column sums over the row range `row_start .. row_start+row_count`,
-    /// as a `1 × cols` matrix — the per-cycle `ksum = φ(K)ᵀ·1` reduction
-    /// of the batched attention path. Bit-identical to
-    /// `matmul_tn_block(ones, ..)` (it mirrors that kernel's zero skip,
-    /// and `a × 1.0` is exactly `a`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row range exceeds `self`.
-    pub fn col_sums_block(&self, row_start: usize, row_count: usize) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        self.col_sums_block_into(row_start, row_count, &mut out.data);
-        out
-    }
-
-    /// [`col_sums_block`](Self::col_sums_block) into a caller slice of
-    /// length `cols` (fully overwritten), for allocation-free hot paths.
+    /// Column sums over the row range `row_start .. row_start+row_count`
+    /// — the per-cycle `ksum = φ(K)ᵀ·1` reduction of the batched
+    /// attention path — into a caller slice of length `cols` (fully
+    /// overwritten). Bit-identical to
+    /// [`matmul_tn_block_into`](Self::matmul_tn_block_into) against a
+    /// ones column (it mirrors that kernel's zero skip, and `a × 1.0` is
+    /// exactly `a`).
     ///
     /// # Panics
     ///
@@ -905,25 +884,16 @@ impl Matrix {
 
     /// Column-wise mean, as a `1 × cols` matrix.
     pub fn mean_rows(&self) -> Matrix {
-        self.mean_rows_block(0, self.rows)
+        let mut out = Matrix::zeros(1, self.cols);
+        self.mean_rows_block_into(0, self.rows, &mut out.data);
+        out
     }
 
     /// Column-wise mean over the row range `row_start ..
     /// row_start+row_count` — the per-cycle pooling step of the batched
-    /// inference path. Bit-identical to [`mean_rows`](Self::mean_rows) of
-    /// the extracted rows (same row-ascending summation, same divisor).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row range exceeds `self`.
-    pub fn mean_rows_block(&self, row_start: usize, row_count: usize) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        self.mean_rows_block_into(row_start, row_count, &mut out.data);
-        out
-    }
-
-    /// [`mean_rows_block`](Self::mean_rows_block) into a caller slice of
-    /// length `cols`, for allocation-free per-cycle pooling.
+    /// inference path — into a caller slice of length `cols`, so pooling
+    /// allocates nothing. Bit-identical to [`mean_rows`](Self::mean_rows)
+    /// of the extracted rows (same row-ascending summation, same divisor).
     ///
     /// # Panics
     ///
@@ -1109,7 +1079,8 @@ mod tests {
             let a = Matrix::xavier(40, 5, 7);
             let b = Matrix::xavier(40, width, 8 + width as u64);
             for (start, count) in [(0usize, 40usize), (2, 5), (39, 1), (3, 20)] {
-                let got = a.matmul_tn_block(&b, start, count);
+                let mut got = Matrix::zeros(5, width);
+                a.matmul_tn_block_into(&b, start, count, &mut got);
                 let want =
                     extract_rows(&a, start, count).matmul_tn(&extract_rows(&b, start, count));
                 assert_eq!(got, want, "range {start}+{count} width {width} diverged");
@@ -1122,11 +1093,11 @@ mod tests {
         let mut a = Matrix::xavier(9, 7, 11);
         a.set(4, 2, 0.0); // exercise the zero skip
         for (start, count) in [(0usize, 9usize), (3, 4), (8, 1), (5, 0)] {
-            let got = a.col_sums_block(start, count);
-            let want = a
-                .matmul_tn_block(&Matrix::full(9, 1, 1.0), start, count)
-                .transpose();
-            assert_eq!(got, want, "range {start}+{count} diverged");
+            let mut got = Matrix::zeros(1, 7);
+            a.col_sums_block_into(start, count, &mut got.data);
+            let mut want = Matrix::zeros(7, 1);
+            a.matmul_tn_block_into(&Matrix::full(9, 1, 1.0), start, count, &mut want);
+            assert_eq!(got, want.transpose(), "range {start}+{count} diverged");
         }
     }
 
@@ -1134,8 +1105,10 @@ mod tests {
     fn mean_rows_block_matches_extracted_rows() {
         let m = Matrix::xavier(8, 5, 13);
         for (start, count) in [(0usize, 8usize), (2, 3), (7, 1)] {
+            let mut got = Matrix::zeros(1, 5);
+            m.mean_rows_block_into(start, count, &mut got.data);
             assert_eq!(
-                m.mean_rows_block(start, count),
+                got,
                 extract_rows(&m, start, count).mean_rows(),
                 "range {start}+{count} diverged"
             );

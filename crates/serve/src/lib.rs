@@ -27,7 +27,8 @@
 //!   listener, connection table, and wakeup, multiplex thousands of
 //!   connections with per-connection back-pressure, so idle clients
 //!   cost buffers instead of threads; any [`reactor::Frontend`] can sit
-//!   behind it;
+//!   behind it, and [`reactor::serve_lines`] drives the same frontend
+//!   over stdin/stdout;
 //! * [`shard`] — horizontal scale-out: a consistent-hash ring routing
 //!   trace keys across N serve processes, and the [`shard::ShardProxy`]
 //!   frontend the `atlas-shard` binary serves (warm-start cache

@@ -44,6 +44,14 @@
 //! The `stats` protocol verb is answered inline on the reactor thread —
 //! it is a counter snapshot and never needs a worker.
 //!
+//! # One dispatcher, two drivers
+//!
+//! [`Frontend`] is the only place a request line becomes a reply: the
+//! `impl Frontend for AtlasService` below answers every verb for both
+//! transports. The reactor drives it over TCP; [`serve_lines`] drives it
+//! over one byte stream (the `serve` binary's stdin/stdout), one request
+//! at a time, with the reactor's framing rules and no reactor threads.
+//!
 //! # Why raw syscalls?
 //!
 //! The build environment has no registry access (see `vendor/`), so
@@ -56,7 +64,7 @@
 //! available.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -277,8 +285,9 @@ pub struct ReactorConfig {
     /// Connections beyond this are answered with a one-line `overloaded`
     /// error and closed.
     pub max_connections: usize,
-    /// A request line longer than this closes the connection (the
-    /// framing is broken; there is no way to resynchronize).
+    /// A request line longer than this is answered with an error and
+    /// closes the connection (the framing is broken; there is no way to
+    /// resynchronize). [`serve_lines`] applies the default.
     pub max_line_bytes: usize,
     /// Pause reading from a connection whose un-flushed response bytes
     /// exceed this; resume below half of it.
@@ -364,6 +373,14 @@ struct Completions {
 }
 
 impl Completions {
+    fn new() -> io::Result<Completions> {
+        Ok(Completions {
+            queue: Mutex::new(Vec::new()),
+            wake: sys::new_eventfd()?,
+            shutdown: AtomicBool::new(false),
+        })
+    }
+
     fn push(&self, token: u64, line: String, last: bool) {
         self.queue
             .lock()
@@ -411,11 +428,7 @@ impl Completer {
 pub(crate) fn test_completer() -> Completer {
     Completer {
         token: 0,
-        completions: Arc::new(Completions {
-            queue: Mutex::new(Vec::new()),
-            wake: sys::new_eventfd().expect("eventfd"),
-            shutdown: AtomicBool::new(false),
-        }),
+        completions: Arc::new(Completions::new().expect("eventfd")),
     }
 }
 
@@ -474,9 +487,10 @@ impl FrontendContext<'_> {
     }
 }
 
-/// What a reactor serves: one request line in, one reply line out.
+/// What a reactor (or [`serve_lines`]) serves: one request line in, one
+/// reply line out.
 ///
-/// Return `Some(reply)` to answer inline on the reactor thread (counter
+/// Return `Some(reply)` to answer inline on the driver's thread (counter
 /// snapshots, control-plane verbs, parse errors). Return `None` after
 /// arranging for a [`Completer`] taken from the context to be completed
 /// elsewhere — the reactor then counts the request as in-flight for
@@ -603,11 +617,7 @@ impl Reactor {
         counters: Arc<Counters>,
         registry: ReactorRegistry,
     ) -> io::Result<Reactor> {
-        let completions = Arc::new(Completions {
-            queue: Mutex::new(Vec::new()),
-            wake: sys::new_eventfd()?,
-            shutdown: AtomicBool::new(false),
-        });
+        let completions = Arc::new(Completions::new()?);
         Ok(Reactor {
             frontend,
             listener,
@@ -1127,14 +1137,7 @@ impl Loop {
             let Some(nl) = conn.rbuf.iter().position(|&b| b == b'\n') else {
                 if conn.rbuf.len() > self.cfg.max_line_bytes {
                     // Framing is unrecoverable; answer and close.
-                    let line = protocol::render_result(&Err((
-                        None,
-                        crate::error::ServeError::InvalidRequest(format!(
-                            "request line exceeds {} bytes",
-                            self.cfg.max_line_bytes
-                        )),
-                    )));
-                    self.queue_line(token, line);
+                    self.queue_line(token, line_too_long(self.cfg.max_line_bytes));
                     if let Some(conn) = self.conns.get_mut(&token) {
                         conn.read_closed = true;
                         conn.rbuf.clear();
@@ -1323,6 +1326,92 @@ impl Loop {
 
 fn count_newlines(bytes: &[u8]) -> u64 {
     bytes.iter().filter(|&&b| b == b'\n').count() as u64
+}
+
+/// The reply to a request line longer than `max_line_bytes`. Framing is
+/// unrecoverable past it, so both drivers send this and stop reading.
+fn line_too_long(max_line_bytes: usize) -> String {
+    protocol::render_result(&Err((
+        None,
+        crate::error::ServeError::InvalidRequest(format!(
+            "request line exceeds {max_line_bytes} bytes"
+        )),
+    )))
+}
+
+/// Serve one JSON-lines stream with `frontend` on the calling thread:
+/// the stdio driver of the same [`Frontend`] the reactor drives over TCP.
+///
+/// Requests are answered one at a time, in input order. An inline reply
+/// is written at once. A reply the frontend hands to a [`Completer`] is
+/// awaited on a private eventfd, and its frames are written and flushed
+/// as they arrive until the final one; only then is the next line read.
+/// Framing follows the reactor: bytes are decoded lossily, blank lines
+/// are skipped, and a line longer than the default
+/// [`ReactorConfig::max_line_bytes`] is answered with an
+/// `invalid_request` error and ends the stream. No reactor threads run,
+/// so `stats` reports `reactor_threads: 0` and an empty `reactors` list.
+/// Returns at the end of `input`.
+///
+/// # Errors
+///
+/// Read or write failures on the streams, and eventfd or epoll failures.
+pub fn serve_lines(
+    frontend: &dyn Frontend,
+    mut input: impl BufRead,
+    mut output: impl Write,
+) -> io::Result<()> {
+    let max_line_bytes = ReactorConfig::default().max_line_bytes;
+    let completions = Arc::new(Completions::new()?);
+    let registry = ReactorRegistry::new(Vec::new());
+    let ep = sys::epoll_create()?;
+    sys::ctl(
+        ep.0,
+        sys::EPOLL_CTL_ADD,
+        completions.wake.0,
+        sys::EPOLLIN,
+        TOKEN_WAKE,
+    )?;
+    let mut events = [sys::EpollEvent { events: 0, data: 0 }; 1];
+    // One byte past the limit tells an over-long line from one that fits
+    // exactly.
+    let read_limit = max_line_bytes as u64 + 1;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if (&mut input).take(read_limit).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > max_line_bytes {
+            writeln!(output, "{}", line_too_long(max_line_bytes))?;
+            return output.flush();
+        }
+        let line = String::from_utf8_lossy(&buf);
+        if line.trim().is_empty() {
+            continue;
+        }
+        let ctx = FrontendContext {
+            token: 0,
+            completions: &completions,
+            registry: &registry,
+        };
+        if let Some(reply) = frontend.handle(&line, &ctx) {
+            writeln!(output, "{reply}")?;
+            output.flush()?;
+            continue;
+        }
+        let mut done = false;
+        while !done {
+            sys::wait(ep.0, &mut events, -1)?;
+            for completion in completions.drain() {
+                writeln!(output, "{}", completion.line)?;
+                done |= completion.last;
+            }
+            output.flush()?;
+        }
+    }
 }
 
 /// The service behind the front door: predictions to the worker pool
@@ -2108,6 +2197,168 @@ mod tests {
         assert_eq!(inproc.mean_total_w, uploaded.mean_total_w);
 
         handle.shutdown().expect("clean shutdown");
+    }
+
+    /// Run `input` through [`serve_lines`] and split the output lines.
+    fn stdio_lines(service: &AtlasService, input: &[u8]) -> Vec<String> {
+        let mut output = Vec::new();
+        serve_lines(service, input, &mut output).expect("in-memory streams");
+        String::from_utf8(output)
+            .expect("replies are UTF-8")
+            .lines()
+            .map(str::to_owned)
+            .collect()
+    }
+
+    /// Send each request over one TCP connection and read its whole
+    /// reply (every frame of a `sweep`, through `end`) before the next,
+    /// so lines come back in the stdio driver's one-at-a-time order.
+    fn tcp_lines(addr: SocketAddr, requests: &[&[u8]]) -> Vec<String> {
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        let mut lines = Vec::new();
+        for request in requests {
+            stream.write_all(request).expect("writes");
+            stream.write_all(b"\n").expect("writes");
+            loop {
+                let line = read_line(&mut reader).trim_end().to_owned();
+                let value: Value = serde_json::from_str(&line).expect("reply parses");
+                let frame = field_str(&value, "frame").to_owned();
+                lines.push(line);
+                if frame.is_empty() || frame == "end" {
+                    break;
+                }
+            }
+        }
+        lines
+    }
+
+    /// Null out the fields that legitimately differ between two runs or
+    /// two transports: wall-clock latencies and the reactor shape.
+    fn masked(line: &str) -> String {
+        fn mask(value: &mut Value) {
+            match value {
+                Value::Map(fields) => {
+                    for (key, field) in fields {
+                        if matches!(key.as_str(), "latency_ms" | "reactor_threads" | "reactors") {
+                            *field = Value::Null;
+                        } else {
+                            mask(field);
+                        }
+                    }
+                }
+                Value::Seq(items) => items.iter_mut().for_each(mask),
+                _ => {}
+            }
+        }
+        let mut value: Value = serde_json::from_str(line).expect("reply parses");
+        mask(&mut value);
+        serde_json::to_string(&value).expect("renders")
+    }
+
+    /// One script through the stdio driver and through a TCP reactor
+    /// pool, each over a fresh one-worker service of the same model: the
+    /// two transports answer with identical lines once latencies and
+    /// the reactor shape are masked.
+    #[test]
+    fn stdio_and_tcp_answer_one_script_identically() {
+        let script: [&[u8]; 12] = [
+            br#"{"id":1,"verb":"models"}"#,
+            br#"{"id":2,"verb":"workloads"}"#,
+            br#"{"id":3,"verb":"register_workload","name":"spiky","phases":[{"activity":0.6,"min_len":1,"max_len":3}]}"#,
+            br#"{"id":4,"verb":"shard_map"}"#,
+            br#"{"id":5,"design":"C2","workload":"W1","cycles":6}"#,
+            br#"{"id":6,"design":"C2","workload":"W1","cycles":6}"#,
+            br#"{"id":7,"verb":"predict_delta","design":"C2","workload":"W1","cycles":9,"base":{"cycles":6}}"#,
+            br#"{"id":8,"verb":"sweep","design":"C2","cycles":6,"chunk_cycles":4,"items":[{"workload":"W1"},{"workload_name":"spiky"}]}"#,
+            br#"{"id":9,"design":"C9","workload":"W1","cycles":6}"#,
+            b"not json",
+            br#"{"id":10,"verb":"frobnicate"}"#,
+            br#"{"id":11,"verb":"stats"}"#,
+        ];
+        let (model, cfg) = micro_trained();
+        let fresh = || {
+            Arc::new(AtlasService::start_with(
+                model.clone(),
+                cfg.clone(),
+                ServiceConfig {
+                    workers: 1,
+                    ..ServiceConfig::default()
+                },
+            ))
+        };
+
+        let input: Vec<u8> = script.iter().flat_map(|l| [*l, b"\n"].concat()).collect();
+        let stdio = stdio_lines(&fresh(), &input);
+
+        let pool = ReactorPool::bind(fresh(), "127.0.0.1:0", ReactorConfig::default(), 1)
+            .expect("binds")
+            .spawn()
+            .expect("spawns");
+        let tcp = tcp_lines(pool.addr(), &script);
+        pool.shutdown().expect("clean shutdown");
+
+        // Every script line answered: 11 single replies plus the sweep's
+        // start, 2 items with 2 series chunks each, and end.
+        assert_eq!(stdio.len(), 11 + 1 + 2 * 3 + 1, "{stdio:#?}");
+        let stats = stdio.last().expect("stats reply");
+        assert!(
+            stats.contains("\"reactor_threads\":0,\"reactors\":[]"),
+            "stdio has no reactor: {stats}"
+        );
+        let stdio: Vec<String> = stdio.iter().map(|l| masked(l)).collect();
+        let tcp: Vec<String> = tcp.iter().map(|l| masked(l)).collect();
+        assert_eq!(stdio, tcp);
+        for (needle, kind) in [
+            ("\"id\":9", "unknown_design"),
+            ("\"id\":null", "invalid_request"),
+            ("\"id\":10", "invalid_request"),
+        ] {
+            assert!(
+                stdio
+                    .iter()
+                    .any(|l| l.contains(needle) && l.contains(&format!("\"kind\":\"{kind}\""))),
+                "no {kind} reply for {needle}"
+            );
+        }
+    }
+
+    /// The stdio driver frames like the reactor: a non-UTF-8 line is a
+    /// typed error (the same line TCP sends) and serving continues; a
+    /// line past `max_line_bytes` is refused and ends the stream.
+    #[test]
+    fn stdio_framing_matches_the_reactor() {
+        let service = micro_service(1);
+        let input: &[u8] = b"\xff\xfe\n{\"id\":2,\"verb\":\"models\"}\n";
+        let stdio = stdio_lines(&service, input);
+        assert_eq!(stdio.len(), 2, "{stdio:#?}");
+        assert!(
+            stdio[0].contains("\"kind\":\"invalid_request\""),
+            "{}",
+            stdio[0]
+        );
+        let models: ModelsResponse = serde_json::from_str(&stdio[1]).expect("models parses");
+        assert_eq!(models.id, Some(2));
+
+        let handle = spawn_reactor(Arc::clone(&service), ReactorConfig::default());
+        let mut stream = TcpStream::connect(handle.addr()).expect("connects");
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        stream.write_all(input).expect("writes");
+        let tcp = [read_line(&mut reader), read_line(&mut reader)];
+        assert_eq!(tcp.map(|l| l.trim_end().to_owned()), stdio[..]);
+        handle.shutdown().expect("clean shutdown");
+
+        let max = ReactorConfig::default().max_line_bytes;
+        let mut long = vec![b'x'; max + 1];
+        long.extend_from_slice(b"\n{\"id\":3,\"verb\":\"models\"}\n");
+        assert_eq!(stdio_lines(&service, &long), [line_too_long(max)]);
+        // A line of exactly the limit still gets an answer.
+        let mut fits = vec![b' '; max - 24];
+        fits.extend_from_slice(b"{\"id\":4,\"verb\":\"models\"}\n");
+        assert_eq!(fits.len(), max + 1);
+        let replies = stdio_lines(&service, &fits);
+        assert_eq!(replies.len(), 1);
+        assert!(replies[0].contains("\"id\":4"), "{}", replies[0]);
     }
 
     #[test]

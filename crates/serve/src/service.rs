@@ -544,27 +544,35 @@ impl Outcome {
     }
 }
 
-/// Where a finished reply goes: a blocking channel ([`AtlasService::submit`]),
-/// a callback invoked on the worker thread ([`AtlasService::submit_with`],
-/// the reactor's non-blocking path), or the delta-shaped callback of
-/// [`AtlasService::submit_delta_with`].
-enum ReplySink {
-    Channel(mpsc::Sender<Reply>),
-    Callback(Box<dyn FnOnce(Reply) + Send>),
-    DeltaCallback(Box<dyn FnOnce(DeltaReply) + Send>),
+/// A worker's answer to one job, before the submitter's callback shapes
+/// it into a [`Reply`] or a [`DeltaReply`].
+type OutcomeReply = Result<Outcome, (Option<u64>, ServeError)>;
+
+/// Where a finished reply goes: the submitter's callback, invoked on the
+/// worker thread ([`AtlasService::submit_with`] and
+/// [`AtlasService::submit_delta_with`] shape the outcome for it).
+///
+/// Every sink answers exactly once: one dropped without
+/// [`ReplySink::send`] — a job discarded on any path — answers
+/// [`ServeError::Shutdown`] under the request's id, so no submitter
+/// (a blocked `call`, a connection's in-flight slot) waits forever.
+struct ReplySink {
+    id: Option<u64>,
+    callback: Option<Box<dyn FnOnce(OutcomeReply) + Send>>,
 }
 
 impl ReplySink {
-    fn send(self, outcome: Result<Outcome, (Option<u64>, ServeError)>) {
-        match self {
-            // A disconnected receiver just means the client went away.
-            ReplySink::Channel(tx) => {
-                let _ = tx.send(outcome.map(|o| o.response));
-            }
-            ReplySink::Callback(f) => f(outcome.map(|o| o.response)),
-            ReplySink::DeltaCallback(f) => {
-                f(outcome.map(|o| delta_response(o.response, o.base_hit, &o.stats)));
-            }
+    fn send(mut self, outcome: OutcomeReply) {
+        if let Some(callback) = self.callback.take() {
+            callback(outcome);
+        }
+    }
+}
+
+impl Drop for ReplySink {
+    fn drop(&mut self) {
+        if let Some(callback) = self.callback.take() {
+            callback(Err((self.id, ServeError::Shutdown)));
         }
     }
 }
@@ -588,6 +596,24 @@ struct Job {
     request: PredictRequest,
     work: Work,
     reply: ReplySink,
+}
+
+impl Job {
+    fn new(
+        request: PredictRequest,
+        work: Work,
+        callback: impl FnOnce(OutcomeReply) + Send + 'static,
+    ) -> Job {
+        let reply = ReplySink {
+            id: request.id,
+            callback: Some(Box::new(callback)),
+        };
+        Job {
+            request,
+            work,
+            reply,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -731,21 +757,22 @@ impl AtlasService {
         })
     }
 
-    fn enqueue(&self, request: PredictRequest, work: Work, reply: ReplySink) {
-        requeue(
-            &self.queue,
-            Job {
-                request,
-                work,
-                reply,
-            },
-        );
+    fn enqueue(
+        &self,
+        request: PredictRequest,
+        work: Work,
+        callback: impl FnOnce(OutcomeReply) + Send + 'static,
+    ) {
+        requeue(&self.queue, Job::new(request, work, callback));
     }
 
     /// Enqueue a request; the returned channel yields the reply.
     pub fn submit(&self, request: PredictRequest) -> mpsc::Receiver<Reply> {
         let (tx, rx) = mpsc::channel();
-        self.enqueue(request, Work::Predict, ReplySink::Channel(tx));
+        self.submit_with(request, move |reply| {
+            // A disconnected receiver just means the caller went away.
+            let _ = tx.send(reply);
+        });
         rx
     }
 
@@ -758,11 +785,9 @@ impl AtlasService {
         request: PredictRequest,
         callback: impl FnOnce(Reply) + Send + 'static,
     ) {
-        self.enqueue(
-            request,
-            Work::Predict,
-            ReplySink::Callback(Box::new(callback)),
-        );
+        self.enqueue(request, Work::Predict, move |outcome| {
+            callback(outcome.map(|o| o.response));
+        });
     }
 
     /// Enqueue a `predict_delta` request whose reply is delivered to
@@ -779,11 +804,9 @@ impl AtlasService {
             base: request.base_request(),
             changed_submodules: request.changed_submodules.clone(),
         };
-        self.enqueue(
-            request.target(),
-            work,
-            ReplySink::DeltaCallback(Box::new(callback)),
-        );
+        self.enqueue(request.target(), work, move |outcome| {
+            callback(outcome.map(|o| delta_response(o.response, o.base_hit, &o.stats)));
+        });
     }
 
     /// Answer one `predict_delta` request, blocking until a worker
@@ -800,11 +823,7 @@ impl AtlasService {
         self.submit_delta_with(request, move |reply| {
             let _ = tx.send(reply);
         });
-        match rx.recv() {
-            Ok(Ok(response)) => Ok(response),
-            Ok(Err((_, error))) => Err(error),
-            Err(_) => Err(ServeError::Shutdown),
-        }
+        wait_reply(&rx)
     }
 
     /// Answer one request, blocking until a worker finishes it.
@@ -813,11 +832,7 @@ impl AtlasService {
     ///
     /// Any [`ServeError`] the request produced.
     pub fn call(&self, request: PredictRequest) -> Result<PredictResponse, ServeError> {
-        match self.submit(request).recv() {
-            Ok(Ok(response)) => Ok(response),
-            Ok(Err((_, error))) => Err(error),
-            Err(_) => Err(ServeError::Shutdown),
-        }
+        wait_reply(&self.submit(request))
     }
 
     /// Aggregate counters plus the per-model breakdown.
@@ -1344,6 +1359,18 @@ impl Drop for AtlasService {
                 job.reply.send(Err((job.request.id, ServeError::Shutdown)));
             }
         }
+    }
+}
+
+/// Block on a submitted request's reply channel (the shared wait of
+/// [`AtlasService::call`] and [`AtlasService::call_delta`]).
+fn wait_reply<T>(
+    rx: &mpsc::Receiver<Result<T, (Option<u64>, ServeError)>>,
+) -> Result<T, ServeError> {
+    match rx.recv() {
+        Ok(Ok(response)) => Ok(response),
+        Ok(Err((_, error))) => Err(error),
+        Err(_) => Err(ServeError::Shutdown),
     }
 }
 
@@ -2752,6 +2779,25 @@ mod tests {
         assert_eq!(
             reply.expect_err("unknown design").1,
             ServeError::UnknownDesign("C9".into())
+        );
+    }
+
+    #[test]
+    fn dropped_job_answers_shutdown_under_its_id() {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&calls);
+        let request = PredictRequest {
+            id: Some(7),
+            ..PredictRequest::new("C2", "W1", 6)
+        };
+        let job = Job::new(request, Work::Predict, move |outcome| {
+            let (id, error) = outcome.err().expect("a dropped job is an error");
+            seen.lock().expect("test lock").push((id, error.kind()));
+        });
+        drop(job);
+        assert_eq!(
+            *calls.lock().expect("test lock"),
+            vec![(Some(7), "shutdown")]
         );
     }
 
